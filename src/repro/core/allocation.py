@@ -10,6 +10,7 @@ the cost shares ``pi_{q,s}`` of Section 2.1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -144,7 +145,9 @@ class AllocationResult:
            ("the total payment from the queries using that sensor is equal
            to c_s", Section 2.1);
         3. every query's utility is non-negative (Theorem 1, property 3);
-        4. assignments only reference selected sensors.
+        4. assignments only reference selected sensors;
+        5. every payment and query value is finite (NaN would slip past
+           the comparisons above).
         """
         # One grouping pass over the ledger instead of a full payments scan
         # per query/sensor (the helpers stay O(n) for ad-hoc callers, but
@@ -154,6 +157,10 @@ class AllocationResult:
         query_paid: dict[str, float] = {}
         sensor_paid: dict[int, float] = {}
         for (qid, sid), payment in self.payments.items():
+            if not math.isfinite(payment):
+                raise PaymentInvariantError(
+                    f"non-finite payment {payment} from {qid} to sensor {sid}"
+                )
             if payment < -tolerance:
                 raise PaymentInvariantError(
                     f"negative payment {payment} from {qid} to sensor {sid}"
@@ -167,6 +174,8 @@ class AllocationResult:
                     f"sensor {sid} income {income:.6f} != cost {snapshot.cost:.6f}"
                 )
         for qid, value in self.values.items():
+            if not math.isfinite(value):
+                raise PaymentInvariantError(f"query {qid} has non-finite value {value}")
             utility = value - query_paid.get(qid, 0.0)
             if utility < -max(tolerance, tolerance * abs(value)):
                 raise PaymentInvariantError(

@@ -41,8 +41,9 @@ class ContinuousQuery:
     """Lifecycle shared by monitoring queries: active in ``[t1, t2]``."""
 
     def __init__(self, budget: float, t1: int, t2: int, query_id: str | None = None) -> None:
-        if budget < 0:
-            raise ValueError("budget must be non-negative")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not 0.0 <= budget < np.inf:
+            raise ValueError(f"budget must be finite and non-negative, got {budget!r}")
         if t2 < t1:
             raise ValueError("t2 must be >= t1")
         self.budget = budget

@@ -35,6 +35,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "--scale", "giant"])
 
+    @pytest.mark.parametrize(
+        "argv,retired",
+        [
+            (["scenario", "s.json"], ["--fused", "auto"]),
+            (["scenario", "s.json"], ["--backend", "numpy"]),
+            (["scenario", "s.json"], ["--workspace", "off"]),
+            (["replay", "s.json"], ["--backend", "numpy"]),
+            (["replay", "s.json"], ["--profile"]),
+            (["serve", "--spec", "s.json"], ["--backend", "numpy"]),
+        ],
+        ids=[
+            "scenario-fused", "scenario-backend", "scenario-workspace",
+            "replay-backend", "replay-profile", "serve-backend",
+        ],
+    )
+    def test_retired_slot_flags_rejected(self, argv, retired):
+        # the slot path has one memory source and one refresh path; the
+        # flags that used to select among them must not parse silently
+        assert build_parser().parse_args(argv).command == argv[0]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + retired)
+
 
 SPEC_PAYLOAD = {
     "name": "cli-svc",

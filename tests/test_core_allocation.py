@@ -71,6 +71,18 @@ class TestVerify:
         with pytest.raises(PaymentInvariantError):
             result.verify()
 
+    @pytest.mark.parametrize(
+        "value, payment",
+        [(float("nan"), float("nan")), (float("inf"), 1.0), (2.0, float("inf"))],
+    )
+    def test_non_finite_value_or_payment_violation(self, value, payment):
+        # NaN compares False against every bound, so it must be rejected
+        # explicitly rather than slip past the comparisons.
+        result = AllocationResult()
+        result.record("q", make_snapshot(1, cost=1.0), value, payment)
+        with pytest.raises(PaymentInvariantError, match="non-finite"):
+            result.verify()
+
     def test_unselected_sensor_assignment_violation(self):
         result = AllocationResult()
         result.assignments["q1"] = (99,)

@@ -312,8 +312,13 @@ class TestScenarioSpec:
         )
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec.from_dict({"name": "x", "wat": 1})
+        # "fused", "backend" and "workspace" are retired knobs: specs that
+        # still declare them must fail loudly rather than be ignored.
+        for key, value in (
+            ("wat", 1), ("fused", "auto"), ("backend", "numpy"), ("workspace", "auto")
+        ):
+            with pytest.raises(ValueError, match=key):
+                ScenarioSpec.from_dict({"name": "x", key: value})
         with pytest.raises(ValueError):
             StreamSpec.from_dict({"kind": "point", "wat": 1})
 

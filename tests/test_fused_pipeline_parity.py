@@ -1,13 +1,14 @@
 """Fused slot pipeline parity: type-blocked gain batches and the shared
-world coverage raster vs the per-row (PR-5) masked path.
+world coverage raster vs the scalar per-pair oracle.
 
 The contract under test (see ``repro.queries.base`` and
 ``repro.spatial.raster``):
 
-* ``GreedyAllocator(fused="auto")`` allocations — assignments, values,
-  payments — compare ``==`` against ``fused=False`` for every built-in
-  query type, dense and sharded: each ``gain_many_block`` implementation
-  performs the exact per-pair arithmetic of its ``gain_many``;
+* ``GreedyAllocator()`` allocations — assignments, values, payments —
+  compare ``==`` against the scalar ``GreedyAllocator(vectorized=False)``
+  for every built-in query type, dense and sharded: each
+  ``gain_many_block`` implementation performs the exact per-pair
+  arithmetic of its scalar ``gain``;
 * ``WorldRaster.coverage_rows`` reproduces the dense
   ``masks_for_xy`` membership row-for-row (the grid fast path only
   pre-selects candidate cells; the final membership test is identical);
@@ -29,7 +30,6 @@ import pytest
 
 from helpers import make_snapshot
 from repro.core import GreedyAllocator, ShardedKernel, ValuationKernel
-from repro.core.greedy import normalize_fused
 from repro.core.monitoring import RegionMonitoringController
 from repro.queries import (
     AggregateQueryWorkload,
@@ -142,68 +142,58 @@ def assert_allocations_identical(a, b):
 
 
 # ----------------------------------------------------------------------
-# fused vs per-row allocations: every type, dense and sharded
+# fused vs scalar allocations: every type, dense and sharded
 # ----------------------------------------------------------------------
 class TestFusedAllocationParity:
     @pytest.mark.parametrize("seed", range(6))
-    def test_region_heavy_fused_equals_masked_dense_and_sharded(self, seed):
+    def test_region_heavy_fused_equals_scalar_dense_and_sharded(self, seed):
         rng = np.random.default_rng(1000 + seed)
         queries = region_heavy_queries(rng)
         sensors = random_sensors(rng)
-        masked = GreedyAllocator(fused=False).allocate(
+        scalar = GreedyAllocator(vectorized=False).allocate(
             queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
-        fused = GreedyAllocator(fused="auto").allocate(
+        fused = GreedyAllocator().allocate(
             queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
-        sharded = GreedyAllocator(fused="auto").allocate(
+        sharded = GreedyAllocator().allocate(
             queries, sensors,
             kernel=ShardedKernel.from_sensors(sensors, cell_size=8.0),
         )
-        assert_allocations_identical(fused, masked)
-        assert_allocations_identical(sharded, masked)
+        assert_allocations_identical(fused, scalar)
+        assert_allocations_identical(sharded, scalar)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_every_builtin_type_fused_equals_masked(self, seed):
+    def test_every_builtin_type_fused_equals_scalar(self, seed):
         rng = np.random.default_rng(2000 + seed)
         queries = every_type_queries(rng)
         sensors = random_sensors(rng)
-        masked = GreedyAllocator(fused=False).allocate(
+        scalar = GreedyAllocator(vectorized=False).allocate(
             queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
-        fused = GreedyAllocator(fused="auto").allocate(
+        fused = GreedyAllocator().allocate(
             queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
-        sharded = GreedyAllocator(fused="auto").allocate(
+        sharded = GreedyAllocator().allocate(
             queries, sensors,
             kernel=ShardedKernel.from_sensors(sensors, cell_size=9.0),
         )
-        assert_allocations_identical(fused, masked)
-        assert_allocations_identical(sharded, masked)
+        assert_allocations_identical(fused, scalar)
+        assert_allocations_identical(sharded, scalar)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_announcements_share_the_raster_and_stay_identical(self, seed):
         rng = np.random.default_rng(3000 + seed)
         queries = region_heavy_queries(rng)
         batch = make_batch(rng)
-        masked = GreedyAllocator(fused=False).allocate(
+        scalar = GreedyAllocator(vectorized=False).allocate(
             queries, batch, kernel=ValuationKernel.from_sensors(batch)
         )
         kernel = ValuationKernel.from_sensors(batch)
-        fused = GreedyAllocator(fused="auto").allocate(queries, batch, kernel=kernel)
-        assert_allocations_identical(fused, masked)
+        fused = GreedyAllocator().allocate(queries, batch, kernel=kernel)
+        assert_allocations_identical(fused, scalar)
         # The raster the kernel used is the batch-attached instance.
         assert kernel.raster is get_raster(batch, batch.xy)
-
-    def test_normalize_fused(self):
-        assert normalize_fused(None) == "auto"
-        assert normalize_fused(True) == "auto"
-        assert normalize_fused("auto") == "auto"
-        assert normalize_fused(False) is False
-        with pytest.raises(ValueError):
-            normalize_fused("sometimes")
-        assert GreedyAllocator().fused == "auto"
-        assert GreedyAllocator(fused=False).fused is False
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +343,7 @@ class TestFallbackLattice:
     def test_gain_many_override_is_honoured_end_to_end(self, seed):
         """Aggregate queries whose batch state overrides only ``gain_many``
         must be evaluated through it (generic row-looping GainBlock), with
-        allocations identical to the per-row path."""
+        allocations identical to the scalar oracle."""
         calls = []
 
         class TracingBatch(_CoverageBatch):
@@ -379,19 +369,15 @@ class TestFallbackLattice:
             )
             for _ in range(5)
         ]
-        fused = GreedyAllocator(fused="auto").allocate(queries, sensors)
+        fused = GreedyAllocator().allocate(queries, sensors)
         assert calls, "override was never routed through"
-        fused_calls = len(calls)
-        calls.clear()
-        masked = GreedyAllocator(fused=False).allocate(queries, sensors)
-        assert calls, "per-row path must call gain_many too"
-        assert fused_calls and len(calls)
-        assert_allocations_identical(fused, masked)
+        scalar = GreedyAllocator(vectorized=False).allocate(queries, sensors)
+        assert_allocations_identical(fused, scalar)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scalar_gain_override_is_honoured_end_to_end(self, seed):
         """A valuation state overriding only scalar ``gain`` is batched via
-        the generic per-snapshot BatchGainState, fused or not."""
+        the generic per-snapshot BatchGainState."""
         calls = []
 
         class ScalarTracingState(_CoverageState):
@@ -421,9 +407,9 @@ class TestFallbackLattice:
             )
             for i in range(3)
         ]
-        fused = GreedyAllocator(fused="auto").allocate(traced, sensors)
+        fused = GreedyAllocator().allocate(traced, sensors)
         assert calls, "scalar override was never routed through"
-        reference = GreedyAllocator(fused="auto").allocate(plain, sensors)
+        reference = GreedyAllocator().allocate(plain, sensors)
         # Aggregate scalar and batch gains share one arithmetic path, so
         # the traced slot must still allocate identically.
         assert_allocations_identical(fused, reference)

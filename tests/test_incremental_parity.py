@@ -15,8 +15,6 @@ x pipelines.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -277,10 +275,9 @@ FLEETS = {
 }
 
 
-@pytest.mark.parametrize("fused", [None, False], ids=["fused-auto", "fused-off"])
 @pytest.mark.parametrize("sharding", [None, "auto"], ids=["dense", "sharded"])
 @pytest.mark.parametrize("fleet", FLEETS, ids=list(FLEETS))
-def test_replay_parity(fleet, sharding, fused):
+def test_replay_parity(fleet, sharding):
     spec = ScenarioSpec(
         name=f"replay-{fleet}",
         n_sensors=200,
@@ -288,7 +285,6 @@ def test_replay_parity(fleet, sharding, fused):
         seed=23,
         streams=STREAMS,
         sharding=sharding,
-        fused=fused,
         fleet={"linear_energy": True, "random_privacy": True, "lifetime": 6},
         **FLEETS[fleet],
     )

@@ -46,6 +46,13 @@ class TestContinuousLifecycle:
                 Location(0, 0), 5, 4, [], 10.0, SERIES, MODEL
             )
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_rejects_invalid_budget(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            LocationMonitoringQuery(
+                Location(0, 0), 4, 8, [4, 6], budget, SERIES, MODEL
+            )
+
     def test_remaining_budget(self):
         q = lm_query(budget_factor=10.0, duration=10)
         assert q.remaining_budget == 100.0

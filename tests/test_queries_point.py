@@ -92,9 +92,12 @@ class TestPointQuery:
         assert query.query_type is QueryType.POINT
         assert query.max_value == 17.0
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_rejects_invalid_budget(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            PointQuery(Location(0, 0), budget=budget)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PointQuery(Location(0, 0), budget=-1.0)
         with pytest.raises(ValueError):
             PointQuery(Location(0, 0), budget=1.0, theta_min=1.5)
         with pytest.raises(ValueError):

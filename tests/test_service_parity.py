@@ -5,8 +5,8 @@ sequence (the :func:`~repro.experiments.allocation_signature` relabeling
 discipline of ``experiments/replay.py``).
 
 Every engine configuration the batch layer ships — dense and sharded
-kernels, fused and per-row gain refreshes, full-rebuild and incremental
-slot state — must uphold the contract, so the suite sweeps recorded
+kernels, full-rebuild and incremental slot state — must uphold the
+contract, so the suite sweeps recorded
 traces across those corners plus saturated admission (rejections must
 not perturb what *was* admitted).
 """
@@ -51,15 +51,14 @@ def make_spec(name, **knobs):
 
 
 SCENARIOS = {
-    # dense kernel, per-row gains, full rebuild every slot
-    "dense": make_spec("svc-dense", sharding=None, fused=False, incremental=False),
-    # sharded kernel + fused type-blocked gain batches
-    "sharded-fused": make_spec("svc-sharded-fused", sharding="auto", fused="auto"),
+    # dense kernel, full rebuild every slot
+    "dense": make_spec("svc-dense", sharding=None, incremental=False),
+    # sharded kernel
+    "sharded": make_spec("svc-sharded", sharding="auto"),
     # sharded kernel + incremental slot state over churn mobility
     "sharded-incremental": make_spec(
         "svc-sharded-incremental",
         sharding="auto",
-        fused="auto",
         incremental="auto",
         mobility={"kind": "churn", "fraction": 0.02},
     ),
@@ -99,7 +98,7 @@ def test_parity_survives_saturated_admission():
     """Queue-full rejections drop arrivals but must not perturb the
     allocations of what was admitted: the trace (admitted seqs only)
     replays to identical signatures."""
-    spec = SCENARIOS["sharded-fused"]
+    spec = SCENARIOS["sharded"]
     service = MarketplaceService.from_spec(
         spec, max_queue_depth=8, max_admitted_per_tick=4
     )
@@ -118,7 +117,7 @@ def test_parity_survives_saturated_admission():
 def test_parity_across_engine_corners_is_mutual():
     """The same recorded trace replays identically through *different*
     engine knob settings — the service contract composes with the batch
-    layer's own dense/sharded and fused/per-row equivalences."""
+    layer's own dense/sharded equivalence."""
     spec = SCENARIOS["dense"]
     service = MarketplaceService.from_spec(spec)
     generator = LoadGenerator(
@@ -128,7 +127,7 @@ def test_parity_across_engine_corners_is_mutual():
     assert replayed == live
 
     flat = [q for batch in generator.schedule(N_TICKS) for q in batch]
-    sharded = dataclasses.replace(spec, sharding="auto", fused="auto")
+    sharded = dataclasses.replace(spec, sharding="auto")
     assert replay_admission_trace(sharded, service.trace, flat) == live
 
 
